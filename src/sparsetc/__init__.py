@@ -51,7 +51,6 @@ from .tensor import (
     build_from_entries,
     convert,
     from_dense,
-    level_is_sparse,
     nnz,
     to_dense,
 )

@@ -7,6 +7,9 @@ are located in O(1). Addition is realized across terms: for dense outputs
 each term accumulates into the preallocated array; for sparse outputs the
 terms of each output region scatter into an ordered workspace whose sorted
 drain appends to the compressed output without ever sorting output levels.
+A region is one binding of the output loops above the schedule's workspace
+split (of every output loop when the schedule has no workspace), and each
+access is read in the format the schedule recorded for it.
 
 Each access folds into the running product at the deepest loop binding one
 of its indices, and loops below the last output index sum before
@@ -26,15 +29,7 @@ from .expr import Access, IndexVar, TensorExpr, get_index_variables, index_exten
 from .format_inference import infer_format
 from .formats import LevelFormat, TensorFormat, dense_format
 from .oracle import eval_dense
-from .scheduler import (
-    CostModel,
-    Schedule,
-    _access_chain,
-    _desired_ordering,
-    _violates,
-    schedule,
-    schedule_to_dict,
-)
+from .scheduler import CostModel, Schedule, schedule, schedule_to_dict
 from .tensor import (
     DenseLevel,
     ShapeError,
@@ -287,10 +282,10 @@ class _TermState:
 
 
 class _Execution:
-    def __init__(self, sched: Schedule, bindings: dict[str, Tensor] | None, out_fmt: TensorFormat):
+    def __init__(self, sched: Schedule, bindings: dict[str, Tensor] | None):
         self.expr = sched.expr
         self.sched = sched
-        self.out_fmt = out_fmt
+        self.out_fmt = sched.out_format
         self.counter = OpCounter()
         self.extents = index_extents(self.expr)
         self.env: dict[IndexVar, int] = {}
@@ -299,10 +294,9 @@ class _Execution:
         if set(sched.loop_order) != set(get_index_variables(self.expr)):
             raise ValueError("schedule does not cover the expression's index variables")
 
-        pos = {v: i for i, v in enumerate(sched.loop_order)}
-        conversions: dict[tuple[int, tuple[int, ...]], Tensor] = {}
+        conversions: dict[tuple[int, TensorFormat], Tensor] = {}
         self.tensor_of: dict[int, Tensor] = {}
-        for a in self.expr.accesses:
+        for a, fmt in zip(self.expr.accesses, sched.access_formats):
             t = a.tensor
             if bindings is not None and a.tensor.name in bindings:
                 t = bindings[a.tensor.name]
@@ -310,17 +304,16 @@ class _Execution:
                     raise ShapeError(
                         f"rebinding of {a.tensor.name} must match the scheduled shape and format"
                     )
-            if t.format.has_sparse_levels and _violates(pos, _access_chain(a)):
-                target = _desired_ordering(a, pos)
-                key = (id(t), target)
+            if fmt != t.format:
+                key = (id(t), fmt)
                 if key not in conversions:
-                    conversions[key] = convert(t, t.format.with_mode_ordering(target))
+                    conversions[key] = convert(t, fmt)
                 t = conversions[key]
             self.tensor_of[id(a)] = t
 
         self.steps = expanded_loops(sched)
         self.out_vars = self.expr.output_indices
-        self.out_chain = tuple(self.out_vars[d] for d in out_fmt.mode_ordering)
+        self.out_chain = tuple(self.out_vars[d] for d in self.out_fmt.mode_ordering)
         self.terms = [_TermState(term, self.tensor_of) for term in self.expr.terms()]
 
     # ---- step iteration helpers --------------------------------------------
@@ -576,15 +569,14 @@ class _Execution:
 
     def _run_sparse_output(self) -> Tensor:
         out_shape = self.expr.output_shape
-        n_outer = 0
-        for step, out_var in zip(self.steps, self.out_chain):
-            if step.role == "full" and step.var == out_var:
-                n_outer += 1
-            else:
-                break
-        outer_steps = self.steps[:n_outer]
-        inner_steps = self.steps[n_outer:]
-        keys = self.out_chain[n_outer:]
+        plan = self.sched.workspace
+        ws_vars = () if plan is None else plan.ws_indices
+        keys = tuple(v for v in self.out_chain if v in ws_vars)
+        outer_vars = tuple(v for v in self.out_chain if v not in ws_vars)
+        outer_steps = self.steps[: len(outer_vars)]
+        inner_steps = self.steps[len(outer_vars) :]
+        if outer_steps != tuple(LoopStep(v, "full") for v in outer_vars):
+            raise AssertionError("outer output loops must lead the nest untiled")
         builder = _SparseOutputBuilder(out_shape, self.out_fmt, self.expr.output_name)
         term_inner = [
             [s for s in inner_steps if s.var in ts.vars or s.var in keys] for ts in self.terms
@@ -602,7 +594,7 @@ class _Execution:
                             key, 0.0 if total is None else total, self.counter
                         ),
                     )
-                prefix = tuple(self.env[v] for v in self.out_chain[:n_outer])
+                prefix = tuple(self.env[v] for v in outer_vars)
                 for key, val in ws.drain():
                     builder.append(prefix + key, val)
                 return
@@ -655,13 +647,10 @@ class _Execution:
 
 
 def execute(
-    sched: Schedule,
-    bindings: dict[str, Tensor] | None = None,
-    out_fmt: TensorFormat | None = None,
+    sched: Schedule, bindings: dict[str, Tensor] | None = None
 ) -> tuple[Tensor, OpCounter]:
     """Run a schedule over concrete tensors; returns the result and op counts."""
-    out_fmt = out_fmt if out_fmt is not None else sched.out_format
-    return _Execution(sched, bindings, out_fmt).run()
+    return _Execution(sched, bindings).run()
 
 
 def run_with_report(

@@ -15,7 +15,6 @@ import enum
 
 from .expr import Access, IndexVar, Mul, Node, TensorExpr, index_extents
 from .formats import LevelFormat, TensorFormat
-from .tensor import level_is_sparse
 
 
 class LevelClass(enum.Enum):
@@ -29,8 +28,7 @@ def infer_level(rhs: Node, lvl: IndexVar) -> LevelClass:
     if isinstance(rhs, Access):
         if lvl not in rhs.indices:
             return LevelClass.ABSENT
-        dim = rhs.indices.index(lvl)
-        sparse = level_is_sparse(rhs.tensor.format, dim)
+        sparse = rhs.tensor.format.dim_is_sparse(rhs.indices.index(lvl))
         return LevelClass.SPARSE if sparse else LevelClass.DENSE
     a, b = infer_level(rhs.lhs, lvl), infer_level(rhs.rhs, lvl)
     if isinstance(rhs, Mul):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 
 from .expr import Access, IndexVar, Mul, Node, TensorExpr, get_index_variables, get_reduction_variables
-from .format_inference import infer_format
+from .format_inference import LevelClass, infer_format, infer_level
 from .formats import TensorFormat
 from .tensor import nnz
 
@@ -87,10 +87,17 @@ class MoveRecord:
 
 @dataclass(frozen=True)
 class Schedule:
+    """The plan the engine runs.
+
+    ``access_formats`` aligns with ``expr.accesses``: the format each access
+    is read in. It differs from the tensor's own format exactly when that
+    access is transposed, so two accesses of one tensor can disagree.
+    """
+
     expr: TensorExpr
     out_format: TensorFormat
     loops: tuple[Loop, ...]
-    transposes: tuple[tuple[str, tuple[int, ...]], ...]
+    access_formats: tuple[TensorFormat, ...]
     workspace: WorkspacePlan | None
     tiles: tuple[IndexVar, ...] = ()
     tile_size: int | None = None
@@ -99,6 +106,19 @@ class Schedule:
     @property
     def loop_order(self) -> tuple[IndexVar, ...]:
         return tuple(l.var for l in self.loops)
+
+    @property
+    def transposes(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
+        """Distinct (tensor name, mode ordering) pairs materialized, sorted."""
+        return tuple(
+            sorted(
+                {
+                    (a.tensor.name, fmt.mode_ordering)
+                    for a, fmt in zip(self.expr.accesses, self.access_formats)
+                    if fmt != a.tensor.format
+                }
+            )
+        )
 
 
 def _access_chain(a: Access) -> tuple[IndexVar, ...]:
@@ -300,47 +320,14 @@ def _stable_topo(order: list[IndexVar], edges) -> list[IndexVar]:
     return emitted
 
 
-class _LevelClass(enum.Enum):
-    SPARSE = 2
-    DENSE = 1
-    ABSENT = 0
-
-
-def _classify(node: Node, v: IndexVar, fmt_of: dict[int, TensorFormat]) -> _LevelClass:
-    if isinstance(node, Access):
-        if v not in node.indices:
-            return _LevelClass.ABSENT
-        sparse = fmt_of[id(node)].dim_is_sparse(node.indices.index(v))
-        return _LevelClass.SPARSE if sparse else _LevelClass.DENSE
-    a, b = _classify(node.lhs, v, fmt_of), _classify(node.rhs, v, fmt_of)
-    if isinstance(node, Mul):
-        if _LevelClass.SPARSE in (a, b):
-            return _LevelClass.SPARSE
-        if _LevelClass.DENSE in (a, b):
-            return _LevelClass.DENSE
-        return _LevelClass.ABSENT
-    if _LevelClass.DENSE in (a, b):
-        return _LevelClass.DENSE
-    if _LevelClass.SPARSE in (a, b):
-        return _LevelClass.SPARSE
-    return _LevelClass.ABSENT
-
-
-def _has_sparse_intersection(node: Node, v: IndexVar, fmt_of) -> bool:
+def _has_sparse_intersection(node: Node, v: IndexVar) -> bool:
     if isinstance(node, Access):
         return False
-    if _has_sparse_intersection(node.lhs, v, fmt_of) or _has_sparse_intersection(
-        node.rhs, v, fmt_of
-    ):
+    if _has_sparse_intersection(node.lhs, v) or _has_sparse_intersection(node.rhs, v):
         return True
     if isinstance(node, Mul):
-        lhs_has = _classify(node.lhs, v, fmt_of) is not _LevelClass.ABSENT
-        rhs_has = _classify(node.rhs, v, fmt_of) is not _LevelClass.ABSENT
-        some_sparse = _LevelClass.SPARSE in (
-            _classify(node.lhs, v, fmt_of),
-            _classify(node.rhs, v, fmt_of),
-        )
-        return lhs_has and rhs_has and some_sparse
+        sides = (infer_level(node.lhs, v), infer_level(node.rhs, v))
+        return LevelClass.ABSENT not in sides and LevelClass.SPARSE in sides
     return False
 
 
@@ -371,24 +358,22 @@ def schedule(
     order = _stable_topo(order, surviving_edges)
     pos = {v: i for i, v in enumerate(order)}
 
-    transposes: dict[tuple[str, tuple[int, ...]], None] = {}
-    fmt_of: dict[int, TensorFormat] = {}
+    access_formats = []
     for a in e.accesses:
         fmt = a.tensor.format
         if fmt.has_sparse_levels and _violates(pos, _access_chain(a)):
-            target = _desired_ordering(a, pos)
-            transposes.setdefault((a.tensor.name, target))
-            fmt = fmt.with_mode_ordering(target)
-        fmt_of[id(a)] = fmt
+            fmt = fmt.with_mode_ordering(_desired_ordering(a, pos))
+        access_formats.append(fmt)
 
+    # A transpose keeps each dimension's level kind, so classifying the
+    # accesses in their original formats gives the loop kinds of the plan.
     red_vars = get_reduction_variables(e)
     loops = []
     for v in order:
-        cls = _classify(e.rhs, v, fmt_of)
-        if cls is _LevelClass.SPARSE:
+        if infer_level(e.rhs, v) is LevelClass.SPARSE:
             kind = (
                 IterationKind.SPARSE_INTERSECT
-                if _has_sparse_intersection(e.rhs, v, fmt_of)
+                if _has_sparse_intersection(e.rhs, v)
                 else IterationKind.SPARSE_ITERATE
             )
         else:
@@ -416,7 +401,7 @@ def schedule(
         expr=e,
         out_format=out_fmt,
         loops=tuple(loops),
-        transposes=tuple(sorted(transposes)),
+        access_formats=tuple(access_formats),
         workspace=workspace,
         moves=tuple(moves),
     )

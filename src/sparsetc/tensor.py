@@ -321,8 +321,3 @@ def convert(t: Tensor, target: TensorFormat, name: str | None = None) -> Tensor:
 def nnz(t: Tensor) -> int:
     """Number of stored values (explicit zeros included)."""
     return len(t.storage.values)
-
-
-def level_is_sparse(fmt: TensorFormat, dim: int) -> bool:
-    """True iff logical dimension ``dim`` is stored compressed or coordinate."""
-    return fmt.dim_is_sparse(dim)

@@ -3,10 +3,12 @@
 A loop is a tiling candidate when some access is reused across it, i.e.
 the access's index set is a strict subset of the expression's. Candidates
 are dropped if the variable is a sparse dimension of any tensor (tiling
-sparse structures means expensive searches) or if the loop sits above a
+sparse structures means expensive searches), if the loop sits above a
 sparse loop in the nest (it would force re-walking sparse structures per
-tile). Survivors split into a block loop and an intra-block loop with
-boundary clamping.
+tile), or if it is an output loop of an output with sparse levels (its
+hoisted block loop would revisit compressed output levels once per block,
+and those only accept appends in order). Survivors split into a block loop
+and an intra-block loop with boundary clamping.
 
 Splits of output-index loops hoist their block loop outermost; splits of
 reduction loops keep the block loop in place, directly above the intra
@@ -41,6 +43,8 @@ def tileable_vars(e: TensorExpr, s: Schedule) -> tuple[IndexVar, ...]:
         if fmt.dim_is_sparse(d)
     }
     working -= sparse_vars
+    if s.out_format.has_sparse_levels:
+        working -= set(e.output_indices)
 
     order = s.loop_order
     pos = {v: i for i, v in enumerate(order)}

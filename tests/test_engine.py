@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sparsetc as st
+from sparsetc import engine
 from sparsetc.tensor import stored_entries
 
 from conftest import random_expression, random_tensor
@@ -123,6 +124,37 @@ def test_engine_handles_transposed_inputs(rng):
     e = st.parse("C(i,k) = A(i,j) * B(j,k)", {"A": A, "B": B})
     t, _ = st.execute(st.schedule(e))
     assert np.array_equal(st.to_dense(t), st.eval_dense(e))
+
+
+@pytest.mark.parametrize(
+    "text, transposed",
+    [
+        ("y(i) = A(i,j) * A(j,i)", 1),
+        # the inner-product order (i, k, j) reads both accesses in storage order
+        ("C(i,k) = A(i,j) * A(k,j)", 0),
+    ],
+)
+def test_aliased_accesses_read_in_their_planned_formats(monkeypatch, text, transposed):
+    r = np.random.default_rng(11)
+    A = random_tensor(r, (7, 7), "csr", 0.4, "A", integer=True)
+    A2 = random_tensor(r, (7, 7), "csr", 0.4, "A", integer=True)
+    e = st.parse(text, {"A": A})
+    s = st.schedule(e)
+    moved = [f for a, f in zip(e.accesses, s.access_formats) if f != a.tensor.format]
+    assert len(moved) == transposed
+
+    converted = []
+    real_convert = engine.convert
+
+    def recording_convert(t, fmt):
+        converted.append(fmt)
+        return real_convert(t, fmt)
+
+    monkeypatch.setattr(engine, "convert", recording_convert)
+    for bindings, bound in ((None, A), ({"A": A2}, A2)):
+        t, _ = st.execute(s, bindings)
+        assert np.array_equal(st.to_dense(t), st.eval_dense(e, {"A": bound}))
+    assert converted == moved * 2
 
 
 def test_engine_three_level_contraction(rng):

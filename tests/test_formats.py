@@ -30,13 +30,13 @@ def test_level_extent_follows_mode_ordering():
 
 
 def test_sparse_dim_query():
-    assert not st.level_is_sparse(st.csr(2, 2), 0)
-    assert st.level_is_sparse(st.csr(2, 2), 1)
-    assert st.level_is_sparse(st.csc(2, 2), 0)
-    assert not st.level_is_sparse(st.csc(2, 2), 1)
+    assert not st.csr(2, 2).dim_is_sparse(0)
+    assert st.csr(2, 2).dim_is_sparse(1)
+    assert st.csc(2, 2).dim_is_sparse(0)
+    assert not st.csc(2, 2).dim_is_sparse(1)
     for d in (0, 1):
-        assert st.level_is_sparse(st.coo(2, 2), d)
-        assert not st.level_is_sparse(st.dense_format((2, 2)), d)
+        assert st.coo(2, 2).dim_is_sparse(d)
+        assert not st.dense_format((2, 2)).dim_is_sparse(d)
 
 
 def test_mixed_coordinate_rejected():

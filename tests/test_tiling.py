@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import sparsetc as st
+from sparsetc import engine
 from sparsetc.tiling import expanded_loops
 
 from conftest import random_expression, random_tensor
@@ -115,3 +116,37 @@ def test_counters_unchanged_by_tiling_for_spmm():
     _, c1 = st.execute(st.tile(e, s, 3))
     assert c0.scalar_mults == c1.scalar_mults
     assert c0.scalar_adds == c1.scalar_adds
+
+
+@pytest.mark.parametrize(
+    "text, fmts, workspace_dims",
+    [
+        ("Out(j,i) = T0(i) + T1(j,i)", {"T0": "dense", "T1": "csc"}, 0),
+        ("C(i,k) = A(i,j) * B(j,k)", {"A": "csr", "B": "csr"}, 1),
+    ],
+)
+def test_sparse_output_loops_are_not_tiled(monkeypatch, text, fmts, workspace_dims):
+    # A hoisted block loop over a compressed output level would revisit it
+    # once per block, so execution could no longer follow the workspace plan.
+    r = np.random.default_rng(4)
+    bound = {}
+    for name, fmt in fmts.items():
+        shape = (20,) if fmt == "dense" else (20, 20)
+        bound[name] = random_tensor(r, shape, fmt, 0.2, name, integer=True)
+    e = st.parse(text, bound)
+    s = st.schedule(e)
+    assert (0 if s.workspace is None else s.workspace.dimensions) == workspace_dims
+    assert st.tileable_vars(e, s) == ()
+    tiled = st.tile(e, s, 4)
+
+    key_widths = set()
+
+    class RecordingWorkspace(engine.Workspace):
+        def accumulate(self, key, value, counter):
+            key_widths.add(len(key))
+            super().accumulate(key, value, counter)
+
+    monkeypatch.setattr(engine, "Workspace", RecordingWorkspace)
+    t, _ = st.execute(tiled)
+    assert np.array_equal(st.to_dense(t), st.eval_dense(e))
+    assert key_widths == {workspace_dims}
