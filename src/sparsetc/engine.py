@@ -1,27 +1,43 @@
-"""Execution of scheduled expressions by format-specialized co-iteration.
+"""Execution of scheduled expressions, one loop level at a time over arrays.
 
-The right-hand side is a sum of products. Terms execute sequentially:
-within a term, loops follow the schedule order, multiplication intersects
-the ordered coordinate streams of the sparse operands, and dense operands
-are located in O(1). Addition is realized across terms: for dense outputs
-each term accumulates into the preallocated array; for sparse outputs the
-terms of each output region scatter into an ordered workspace whose sorted
-drain appends to the compressed output without ever sorting output levels.
-A region is one binding of the output loops above the schedule's workspace
-split (of every output loop when the schedule has no workspace), and each
-access is read in the format the schedule recorded for it.
+The right-hand side is a sum of products and the terms run one after
+another. A term walks the schedule's loop nest (``expanded_loops``) as a
+frontier: one row per bound loop prefix, held as an array of coordinates
+per bound index plus one storage-position array per operand with sparse
+levels. Each loop level transforms the whole frontier with numpy:
 
-Each access folds into the running product at the deepest loop binding one
-of its indices, and loops below the last output index sum before
-multiplying, so a factor invariant to a reduction loop is applied once per
-output element rather than once per reduction step. An operation counter
-tracks every scalar multiply and add plus iterator movement.
+* when some operand stores the level sparsely, every row expands along the
+  first such operand's segment (``np.repeat`` over ``pos`` differences)
+  and the other sparse operands are probed with one ``searchsorted`` on a
+  monotone segment-id x extent + coordinate key; coordinate (COO) operands
+  are read through the equivalent compressed levels;
+* otherwise the rows expand over the full range, or over the block that a
+  hoisted tile loop selected;
+* dense operands are gathered by stride arithmetic.
+
+Each access multiplies into the running product at the deepest loop that
+binds one of its indices. Loops below the deepest output index form a
+reduction zone that folds bottom up: a row's value is the product of the
+accesses consumed at its depth times the sum of its children, and every
+sum starts at 0.0 and adds in row order. A reduction loop split by the
+tiler runs as one ascending range, so tiled and untiled runs are
+bit-identical. Dense outputs take each term's values with ``np.add.at``.
+Sparse outputs collect every term's (coordinates, value) rows in a
+``Workspace``, which merges them with one stable sort so equal coordinates
+sum in arrival order, and assemble the sorted result without ever sorting
+an output level.
+
+Every level expands its frontier in consecutive chunks of at most
+``CHUNK_ROWS`` rows (a single wider parent row forms its own chunk), split
+on parent-row boundaries, so no reduction group straddles two chunks and
+transient memory stays bounded. The operation counter's multiplies and
+adds are array lengths times per-level constants.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,13 +58,20 @@ from .tensor import (
 )
 from .tiling import DEFAULT_TILE_SIZE, LoopStep, expanded_loops, tile
 
+# Rows one loop level materializes at a time. At 16k rows SpMM's transient
+# arrays stay under 3 MB while per-chunk overhead stays small.
+CHUNK_ROWS = 1 << 14
+
 
 @dataclass
 class OpCounter:
     """Work performed by one execution.
 
-    ``iterator_advances`` counts cursor movement (merge steps, seeks, and
-    block selections); it is deterministic for a given schedule and inputs.
+    ``iterator_advances`` counts the candidates each loop level generates
+    (segment entries, range coordinates and selected blocks) plus one per
+    probe of a further sparse operand. It is derived from array lengths,
+    deterministic, and the same for tiled and untiled runs up to the block
+    selections of hoisted tile loops.
     """
 
     scalar_mults: int = 0
@@ -64,238 +87,213 @@ class OpCounter:
 
 
 class Workspace:
-    """Ordered insert-or-accumulate map from coordinate tuples to values.
+    """Sorted-key array merge that collects a sparse output's values.
 
-    Any ordered map satisfies the contract; this one is a hash map whose
-    drain yields keys in sorted order.
+    Rows arrive in blocks: ``regions`` are the coordinates of the output
+    loops above the workspace split, ``keys`` those of the workspace
+    indices, together ``width`` columns in output storage order. ``drain``
+    stably sorts all rows by (region, key) and sums each distinct
+    coordinate from 0.0 in arrival order.
     """
 
-    def __init__(self):
-        self._slots: dict[tuple, float] = {}
+    def __init__(self, width: int):
+        self._coords = [np.zeros((0, width), dtype=np.int64)]
+        self._values = [np.zeros(0)]
 
-    def accumulate(self, key: tuple, value: float, counter: OpCounter) -> None:
-        counter.scalar_adds += 1
-        self._slots[key] = self._slots.get(key, 0.0) + value
+    def accumulate(
+        self, regions: np.ndarray, keys: np.ndarray, values: np.ndarray, counter: OpCounter
+    ) -> None:
+        counter.scalar_adds += len(values)
+        self._coords.append(np.hstack([regions, keys]))
+        self._values.append(values)
 
-    def drain(self):
-        for key in sorted(self._slots):
-            yield key, self._slots[key]
+    def drain(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct coordinates in sorted order and the sum of each."""
+        coords = np.concatenate(self._coords)
+        values = np.concatenate(self._values)
+        order = np.lexsort(coords.T[::-1])
+        coords, values = coords[order], values[order]
+        first = np.ones(len(values), dtype=bool)
+        first[1:] = np.any(coords[1:] != coords[:-1], axis=1)
+        sums = np.bincount(np.cumsum(first) - 1, weights=values, minlength=int(first.sum()))
+        return coords[first], sums
 
-    def __len__(self):
-        return len(self._slots)
+
+def _strides(fmt: TensorFormat) -> list[int]:
+    """Flat-storage stride of each logical dimension of an all-dense format."""
+    strides = [0] * fmt.order
+    acc = 1
+    for k in reversed(range(fmt.order)):
+        strides[fmt.mode_ordering[k]] = acc
+        acc *= fmt.level_extent(k)
+    return strides
 
 
-class _PositionalCursor:
-    """Position path into dense/compressed level storage, bound level by level."""
+class _Cursor:
+    """Dense and compressed levels of an operand with sparse levels."""
 
-    def __init__(self, tensor: Tensor):
-        st = tensor.storage
-        self.kinds = st.format.levels
-        self.datas = st.levels
+    def __init__(self, t: Tensor):
+        st = t.storage
+        if st.format.levels[0] is LevelFormat.COORDINATE:
+            # The sorted coordinate table is a compressed hierarchy of runs.
+            fmt = TensorFormat(
+                t.shape, st.format.mode_ordering, (LevelFormat.COMPRESSED,) * st.format.order
+            )
+            table = np.stack([lv.crd for lv in st.levels], axis=1)
+            st = _assemble_presorted(t.shape, fmt, table, st.values, t.name).storage
+        self.levels = st.levels
         self.values = st.values
+        self.mode_ordering = st.format.mode_ordering
         self.extents = [st.format.level_extent(k) for k in range(st.format.order)]
-        self.stack = [0]
+        self._keys: dict[int, np.ndarray] = {}
 
-    @property
-    def depth(self) -> int:
-        return len(self.stack) - 1
-
-    def next_is_sparse(self) -> bool:
-        return self.kinds[self.depth] is not LevelFormat.DENSE
-
-    def segment_coords(self) -> np.ndarray:
-        data = self.datas[self.depth]
-        p = self.stack[-1]
-        return data.crd[data.pos[p] : data.pos[p + 1]]
-
-    def bind(self, coord: int, counter: OpCounter) -> bool:
-        d = self.depth
-        if self.kinds[d] is LevelFormat.DENSE:
-            self.stack.append(self.stack[-1] * self.extents[d] + coord)
-            return True
-        data = self.datas[d]
-        p = self.stack[-1]
-        lo, hi = int(data.pos[p]), int(data.pos[p + 1])
-        i = lo + int(np.searchsorted(data.crd[lo:hi], coord))
-        counter.iterator_advances += 1
-        if i < hi and data.crd[i] == coord:
-            self.stack.append(i)
-            return True
-        return False
-
-    def unbind(self) -> None:
-        self.stack.pop()
-
-    def value(self) -> float:
-        return self.values[self.stack[-1]]
+    def key(self, k: int) -> np.ndarray:
+        """Monotone segment * extent + coordinate over compressed level ``k``."""
+        if k not in self._keys:
+            pos, crd = self.levels[k].pos, self.levels[k].crd
+            seg = np.repeat(np.arange(len(pos) - 1, dtype=np.int64), np.diff(pos))
+            self._keys[k] = seg * self.extents[k] + crd
+        return self._keys[k]
 
 
-class _CooCursor:
-    """Run of the aligned coordinate table matching the bound prefix."""
+@dataclass
+class _Level:
+    """One loop of a term's nest and what binds at it."""
 
-    def __init__(self, tensor: Tensor):
-        st = tensor.storage
-        self.crds = [lv.crd for lv in st.levels]
-        self.values = st.values
-        self.stack: list[tuple[int, int]] = [(0, len(st.values))]
-
-    @property
-    def depth(self) -> int:
-        return len(self.stack) - 1
-
-    def next_is_sparse(self) -> bool:
-        return True
-
-    def segment_coords(self) -> np.ndarray:
-        lo, hi = self.stack[-1]
-        return np.unique(self.crds[self.depth][lo:hi])
-
-    def bind(self, coord: int, counter: OpCounter) -> bool:
-        lo, hi = self.stack[-1]
-        arr = self.crds[self.depth][lo:hi]
-        left = lo + int(np.searchsorted(arr, coord, side="left"))
-        right = lo + int(np.searchsorted(arr, coord, side="right"))
-        counter.iterator_advances += 1
-        if left < right:
-            self.stack.append((left, right))
-            return True
-        return False
-
-    def unbind(self) -> None:
-        self.stack.pop()
-
-    def value(self) -> float:
-        return self.values[self.stack[-1][0]]
+    var: IndexVar
+    kind: str  # "range" | "block" (hoisted tile loop) | "in_block"
+    extent: int
+    driver: tuple[int, int] | None = None  # (cursor, level) whose segments expand rows
+    probes: list[tuple[int, int]] = field(default_factory=list)  # other compressed levels
+    dense_parts: list[tuple[int, int]] = field(default_factory=list)  # dense levels
+    consumed: list[Access] = field(default_factory=list)
+    keep: set = field(default_factory=set)  # frontier arrays this level carries down
 
 
-class _DenseReader:
-    """O(1) locator into an all-dense operand; never constrains iteration."""
+class _Term:
+    """A product term lowered onto the loop nest."""
 
-    def __init__(self, access: Access, tensor: Tensor):
-        fmt = tensor.format
-        self.values = tensor.storage.values
-        strides = [0] * fmt.order
-        acc = 1
-        for k in reversed(range(fmt.order)):
-            strides[fmt.mode_ordering[k]] = acc
-            acc *= fmt.level_extent(k)
-        self.dim_strides = strides  # indexed by logical dimension
-        self.indices = access.indices
+    def __init__(self, ex: "_Execution", accesses: tuple[Access, ...]):
+        term_vars = {v for a in accesses for v in a.indices}
+        out_vars = set(ex.out_vars)
+        self.levels: list[_Level] = []
+        for s in ex.steps:
+            if s.var in out_vars:
+                kind = {"full": "range", "block": "block", "intra": "in_block"}[s.role]
+            elif s.var not in term_vars or s.role == "block":
+                continue  # a split reduction runs as one ascending range
+            else:
+                kind = "range"
+            self.levels.append(_Level(s.var, kind, ex.extents[s.var]))
+        depth = {lv.var: d for d, lv in enumerate(self.levels) if lv.kind != "block"}
+        self.kd = max((depth[v] for v in ex.out_vars), default=-1)
 
-    def value(self, env: dict) -> float:
-        off = 0
-        for d, var in enumerate(self.indices):
-            off += self.dim_strides[d] * env[var]
-        return self.values[off]
+        # Accesses whose indices all bind in a sparse output's region loops
+        # (the output loops above the workspace split) multiply in together
+        # at the last region loop, in term order.
+        floor = len(ex.regions) - 1 if ex.out_fmt.has_sparse_levels else -1
+        self.pre: list[Access] = []
+        for a in accesses:
+            d = max([floor] + [depth[v] for v in a.indices])
+            (self.pre if d < 0 else self.levels[d].consumed).append(a)
+            if id(a) not in ex.cursors:
+                continue
+            cur = ex.cursors[id(a)]
+            for k, dim in enumerate(cur.mode_ordering):
+                lv = self.levels[depth[a.indices[dim]]]
+                if isinstance(cur.levels[k], DenseLevel):
+                    lv.dense_parts.append((id(a), k))
+                elif lv.kind != "range":
+                    raise AssertionError("tiled loops never iterate sparse structures")
+                elif lv.driver is None:
+                    lv.driver = (id(a), k)
+                else:
+                    lv.probes.append((id(a), k))
+        self.cursor_ids = [id(a) for a in accesses if id(a) in ex.cursors]
 
-    def vector(self, env: dict, var: IndexVar, coords: np.ndarray) -> np.ndarray:
-        d = self.indices.index(var)
-        off = 0
-        for d2, v2 in enumerate(self.indices):
-            if d2 != d:
-                off += self.dim_strides[d2] * env[v2]
-        stride = self.dim_strides[d]
-        if stride == 1:
-            return self.values[off + int(coords[0]) : off + int(coords[-1]) + 1]
-        return self.values[off + stride * coords]
-
-
-def _intersect_sorted(arrays: list[np.ndarray], counter: OpCounter) -> np.ndarray:
-    """Ordered intersection, seeking from the smallest operand outward."""
-    base = min(arrays, key=len)
-    counter.iterator_advances += len(base)
-    result = base
-    for other in arrays:
-        if other is base or not len(result):
-            continue
-        idx = np.searchsorted(other, result)
-        ok = idx < len(other)
-        ok[ok] = other[idx[ok]] == result[ok]
-        result = result[ok]
-        counter.iterator_advances += len(result) + 1
-    return result
-
-
-def _union_sorted(arrays: list[np.ndarray], counter: OpCounter) -> np.ndarray:
-    out = arrays[0]
-    counter.iterator_advances += len(arrays[0])
-    for arr in arrays[1:]:
-        out = np.union1d(out, arr)
-        counter.iterator_advances += len(arr)
-    return out
-
-
-class _SparseOutputBuilder:
-    """Collects appends in storage order and assembles them without sorting."""
-
-    def __init__(self, shape, fmt: TensorFormat, name: str):
-        self.shape = shape
-        self.fmt = fmt
-        self.name = name
-        self.mode_coords: list[tuple[int, ...]] = []
-        self.vals: list[float] = []
-
-    def append(self, mode_coords: tuple[int, ...], value: float) -> None:
-        if self.mode_coords and mode_coords <= self.mode_coords[-1]:
-            raise AssertionError("sparse output appends must be strictly increasing")
-        self.mode_coords.append(mode_coords)
-        self.vals.append(float(value))
-
-    def finish(self) -> Tensor:
-        cols = np.asarray(self.mode_coords, dtype=np.int64).reshape(len(self.vals), self.fmt.order)
-        return _assemble_presorted(
-            self.shape, self.fmt, cols, np.asarray(self.vals, dtype=np.float64), self.name
+        # What each level gathers from the rows above: the arrays it or a
+        # deeper level reads, and the output coordinates until the emit.
+        live: set = set()
+        for d in reversed(range(len(self.levels))):
+            lv = self.levels[d]
+            if d == self.kd:
+                live |= {("coord", v) for v in ex.out_vars}
+            uses = {("pos", c) for c, _ in lv.probes + lv.dense_parts}
+            for a in lv.consumed:
+                uses |= {("pos", id(a))} if id(a) in ex.cursors else {("coord", v) for v in a.indices}
+            # _span reads these from the rows above; this level sets them anew
+            span = {("pos", lv.driver[0])} if lv.driver else set()
+            if lv.kind == "in_block":
+                span = {("block", lv.var)}
+            lv.keep = (live | uses) - span - {("coord", lv.var), ("block", lv.var)}
+            live = lv.keep | span
+        # At a dense output's innermost output loop over dense operands only,
+        # those operands multiply together before joining the running
+        # product; outputs are pinned bit for bit to this association.
+        tail = self.levels[-1] if self.levels else None
+        self.tail_product = (
+            tail is not None
+            and not ex.out_fmt.has_sparse_levels
+            and tail.var in out_vars
+            and not any(id(a) in ex.cursors for a in tail.consumed)
         )
 
 
-class _TermState:
-    """Cursors, readers, and mode chains for one product term."""
+class _Frontier:
+    """Rows of bound loop prefixes: parallel arrays keyed ("coord", var),
+    ("block", var) or ("pos", cursor), plus the running product."""
 
-    def __init__(self, term: tuple[Access, ...], tensor_of: dict[int, Tensor]):
-        self.accesses = term
-        self.vars = {v for a in term for v in a.indices}
-        self.cursor_of: dict[int, object] = {}
-        self.reader_of: dict[int, _DenseReader] = {}
-        self.chains: dict[int, tuple[IndexVar, ...]] = {}
-        for a in term:
-            t = tensor_of[id(a)]
-            self.chains[id(a)] = tuple(a.indices[d] for d in t.format.mode_ordering)
-            if t.format.has_sparse_levels:
-                if t.format.levels[0] is LevelFormat.COORDINATE:
-                    self.cursor_of[id(a)] = _CooCursor(t)
-                else:
-                    self.cursor_of[id(a)] = _PositionalCursor(t)
-            else:
-                self.reader_of[id(a)] = _DenseReader(a, t)
+    def __init__(self, n: int, arrays: dict, carry: np.ndarray | None = None):
+        self.n = n
+        self.arrays = arrays
+        self.carry = carry
 
-    def participants(self, var: IndexVar) -> list:
-        """Cursors whose next unbound level stores ``var``."""
-        out = []
-        for a in self.accesses:
-            cur = self.cursor_of.get(id(a))
-            if cur is None:
-                continue
-            chain = self.chains[id(a)]
-            if cur.depth < len(chain) and chain[cur.depth] == var:
-                out.append(cur)
-        return out
+    def take(self, rows, keep=None) -> "_Frontier":
+        """The rows selected by an index array or a slice, with the arrays in ``keep`` (all if None)."""
+        n = rows.stop - rows.start if isinstance(rows, slice) else len(rows)
+        arrays = {k: a[rows] for k, a in self.arrays.items() if keep is None or k in keep}
+        return _Frontier(n, arrays, None if self.carry is None else self.carry[rows])
+
+
+def _columns(F: _Frontier, vs: tuple[IndexVar, ...]) -> np.ndarray:
+    """The coordinates of ``vs`` as an (n, len(vs)) table."""
+    if not vs:
+        return np.zeros((F.n, 0), dtype=np.int64)
+    return np.stack([F.arrays["coord", v] for v in vs], axis=1)
+
+
+def _offsets(F: _Frontier, strides: list[tuple[IndexVar, int]]) -> np.ndarray:
+    """Flat storage offsets of ``F``'s rows given each index's stride."""
+    off = np.zeros(F.n, dtype=np.int64)
+    for v, stride in strides:
+        off = off + (F.arrays["coord", v] if stride == 1 else stride * F.arrays["coord", v])
+    return off
+
+
+def _chunks(counts: np.ndarray):
+    """Consecutive row ranges whose expansions hold at most CHUNK_ROWS rows each."""
+    ends = np.cumsum(counts)
+    a = 0
+    while a < len(counts):
+        base = ends[a - 1] if a else 0
+        b = max(int(np.searchsorted(ends, base + CHUNK_ROWS, side="right")), a + 1)
+        yield a, b
+        a = b
 
 
 class _Execution:
     def __init__(self, sched: Schedule, bindings: dict[str, Tensor] | None):
         self.expr = sched.expr
-        self.sched = sched
         self.out_fmt = sched.out_format
         self.counter = OpCounter()
         self.extents = index_extents(self.expr)
-        self.env: dict[IndexVar, int] = {}
-        self.block_range: dict[IndexVar, tuple[int, int]] = {}
 
         if set(sched.loop_order) != set(get_index_variables(self.expr)):
             raise ValueError("schedule does not cover the expression's index variables")
 
         conversions: dict[tuple[int, TensorFormat], Tensor] = {}
-        self.tensor_of: dict[int, Tensor] = {}
+        self.cursors: dict[int, _Cursor] = {}
+        self.dense: dict[int, tuple[np.ndarray, list[tuple[IndexVar, int]]]] = {}
         for a, fmt in zip(self.expr.accesses, sched.access_formats):
             t = a.tensor
             if bindings is not None and a.tensor.name in bindings:
@@ -309,331 +307,136 @@ class _Execution:
                 if key not in conversions:
                     conversions[key] = convert(t, fmt)
                 t = conversions[key]
-            self.tensor_of[id(a)] = t
+            if t.format.has_sparse_levels:
+                self.cursors[id(a)] = _Cursor(t)
+            else:
+                self.dense[id(a)] = (t.storage.values, list(zip(a.indices, _strides(t.format))))
 
         self.steps = expanded_loops(sched)
         self.out_vars = self.expr.output_indices
-        self.out_chain = tuple(self.out_vars[d] for d in self.out_fmt.mode_ordering)
-        self.terms = [_TermState(term, self.tensor_of) for term in self.expr.terms()]
-
-    # ---- step iteration helpers --------------------------------------------
-
-    def _step_coords(self, step: LoopStep, parts) -> np.ndarray:
-        sparse_parts = [c for c in parts if c.next_is_sparse()]
-        if sparse_parts:
-            if step.var in self.block_range:
-                raise AssertionError("tiled loops never iterate sparse structures")
-            segs = [c.segment_coords() for c in sparse_parts]
-            return _intersect_sorted(segs, self.counter)
-        lo, hi = self.block_range.get(step.var, (0, self.extents[step.var]))
-        return np.arange(lo, hi, dtype=np.int64)
-
-    def _bind_parts(self, parts, coord: int) -> bool:
-        bound = []
-        for cur in parts:
-            if cur.bind(coord, self.counter):
-                bound.append(cur)
-            else:
-                for b in reversed(bound):
-                    b.unbind()
-                return False
-        return True
-
-    @staticmethod
-    def _unbind_parts(parts) -> None:
-        for cur in reversed(parts):
-            cur.unbind()
-
-    def _blocks(self, var: IndexVar):
-        ts = self.sched.tile_size
-        extent = self.extents[var]
-        for lo in range(0, extent, ts):
-            self.block_range[var] = (lo, min(lo + ts, extent))
-            self.counter.iterator_advances += 1
-            yield
-        del self.block_range[var]
-
-    # ---- per-term execution --------------------------------------------------
-
-    def _run_term(self, ts: _TermState, steps, keys, sink, exclude=frozenset()):
-        """Execute one term's sub-nest.
-
-        ``keys`` are the variables whose bindings key the sink; loops below
-        the deepest key binding form a pure reduction suffix that sums
-        before being multiplied into the running product. ``sink`` receives
-        ``(key tuple, value)`` once per key binding.
-        """
-        counter = self.counter
-        binding_depth = {s.var: i for i, s in enumerate(steps) if s.role != "block"}
-        consumed_at: dict[int, list] = {i: [] for i in range(len(steps))}
-        consumed_pre: list[Access] = []
-        for a in ts.accesses:
-            if id(a) in exclude:
-                continue
-            depths = [binding_depth[v] for v in a.indices if v in binding_depth]
-            if depths:
-                consumed_at[max(depths)].append(a)
-            else:
-                consumed_pre.append(a)
-        key_depths = [binding_depth[v] for v in keys if v in binding_depth]
-        kd = max(key_depths) if key_depths else -1
-
-        def read(a: Access) -> float:
-            cur = ts.cursor_of.get(id(a))
-            if cur is not None:
-                return cur.value()
-            return ts.reader_of[id(a)].value(self.env)
-
-        def fold(carry, accesses):
-            for a in accesses:
-                v = read(a)
-                if carry is None:
-                    carry = v
-                else:
-                    carry = carry * v
-                    counter.scalar_mults += 1
-            return carry
-
-        def reduce_zone(d: int) -> float:
-            step = steps[d]
-            if step.role == "block":
-                total = 0.0
-                for _ in self._blocks(step.var):
-                    total += reduce_zone(d + 1)
-                return total
-            consumed = consumed_at[d]
-            parts = ts.participants(step.var)
-            if d == len(steps) - 1 and not parts and consumed and all(
-                id(a) in ts.reader_of for a in consumed
-            ):
-                # Innermost dense reduction over dense operands: vectorize the
-                # products, then accumulate left to right to keep the scalar
-                # path's summation order bit for bit.
-                coords = self._step_coords(step, parts)
-                if not len(coords):
-                    return 0.0
-                vecs = [ts.reader_of[id(a)].vector(self.env, step.var, coords) for a in consumed]
-                prod = vecs[0]
-                for v in vecs[1:]:
-                    prod = prod * v
-                    counter.scalar_mults += len(coords)
-                counter.iterator_advances += len(coords)
-                total = 0.0
-                for x in prod:
-                    total += x
-                counter.scalar_adds += len(coords)
-                return total
-            coords = self._step_coords(step, parts)
-            total = 0.0
-            for c in coords:
-                c = int(c)
-                if not self._bind_parts(parts, c):
-                    raise AssertionError("intersected coordinate missing from a source")
-                self.env[step.var] = c
-                local = fold(None, consumed)
-                if d + 1 < len(steps):
-                    deeper = reduce_zone(d + 1)
-                    if local is None:
-                        local = deeper
-                    else:
-                        local = local * deeper
-                        counter.scalar_mults += 1
-                total += 0.0 if local is None else local
-                counter.scalar_adds += 1
-                self._unbind_parts(parts)
-            return total
-
-        def emit(carry):
-            if kd + 1 < len(steps):
-                total = reduce_zone(kd + 1)
-                if carry is not None:
-                    total = carry * total
-                    counter.scalar_mults += 1
-            else:
-                total = carry
-            sink(tuple(self.env[v] for v in keys), total)
-
-        def key_zone(d: int, carry):
-            if d == kd + 1:
-                emit(carry)
-                return
-            step = steps[d]
-            if step.role == "block":
-                for _ in self._blocks(step.var):
-                    key_zone(d + 1, carry)
-                return
-            parts = ts.participants(step.var)
-            consumed = consumed_at[d]
-            coords = self._step_coords(step, parts)
-            for c in coords:
-                c = int(c)
-                if not self._bind_parts(parts, c):
-                    raise AssertionError("intersected coordinate missing from a source")
-                self.env[step.var] = c
-                key_zone(d + 1, fold(carry, consumed))
-                self._unbind_parts(parts)
-
-        key_zone(0, fold(None, consumed_pre))
-
-    # ---- dense output ---------------------------------------------------------
-
-    def _run_dense_output(self) -> Tensor:
-        out_shape = self.expr.output_shape
-        size = 1
-        for s in out_shape:
-            size *= s
-        out_values = np.zeros(size, dtype=np.float64)
-        strides = [0] * self.out_fmt.order
-        acc = 1
-        for k in reversed(range(self.out_fmt.order)):
-            strides[self.out_fmt.mode_ordering[k]] = acc
-            acc *= self.out_fmt.level_extent(k)
-        stride_of_var = {v: strides[d] for d, v in enumerate(self.out_vars)}
-        counter = self.counter
-
-        for ts in self.terms:
-            steps = [s for s in self.steps if s.var in ts.vars or s.var in self.out_vars]
-            binding_steps = [s for s in steps if s.role != "block"]
-
-            def scalar_sink(key, total):
-                off = 0
-                for v, c in zip(self.out_vars, key):
-                    off += stride_of_var[v] * c
-                out_values[off] += 0.0 if total is None else total
-                counter.scalar_adds += 1
-
-            fast = (
-                steps
-                and steps[-1].role != "block"
-                and steps[-1].var in stride_of_var
-                and binding_steps
-                and binding_steps[-1] is steps[-1]
-            )
-            if fast:
-                # Every access var has a binding step here, so the accesses
-                # consumed at the tail are exactly those containing its var.
-                consumed_tail = [a for a in ts.accesses if steps[-1].var in a.indices]
-                fast = all(id(a) in ts.reader_of for a in consumed_tail)
-            if not fast:
-                self._run_term(ts, steps, tuple(self.out_vars), scalar_sink)
-                continue
-
-            head = steps[:-1]
-            head_keys = tuple(s.var for s in binding_steps[:-1])
-            tail_var = steps[-1].var
-            tail_stride = stride_of_var[tail_var]
-            excluded = frozenset(id(a) for a in consumed_tail)
-
-            def vector_sink(_key, carry):
-                if ts.participants(tail_var):
-                    raise AssertionError("vectorized tail encountered a cursor participant")
-                lo, hi = self.block_range.get(tail_var, (0, self.extents[tail_var]))
-                if hi <= lo:
-                    return
-                coords = np.arange(lo, hi, dtype=np.int64)
-                vec = None
-                for a in consumed_tail:
-                    arr = ts.reader_of[id(a)].vector(self.env, tail_var, coords)
-                    if vec is None:
-                        vec = arr
-                    else:
-                        vec = vec * arr
-                        counter.scalar_mults += len(coords)
-                if vec is None:
-                    vec = np.full(len(coords), 0.0 if carry is None else carry)
-                elif carry is not None:
-                    vec = carry * vec
-                    counter.scalar_mults += len(coords)
-                counter.iterator_advances += len(coords)
-                base = 0
-                for v in self.out_vars:
-                    if v != tail_var:
-                        base += stride_of_var[v] * self.env[v]
-                if tail_stride == 1:
-                    out_values[base + lo : base + hi] += vec
-                else:
-                    out_values[base + tail_stride * coords] += vec
-                counter.scalar_adds += len(coords)
-
-            self._run_term(ts, head, head_keys, vector_sink, exclude=excluded)
-
-        storage = TensorStorage(
-            self.out_fmt,
-            tuple(DenseLevel(self.out_fmt.level_extent(k)) for k in range(self.out_fmt.order)),
-            _frozen(out_values),
-        )
-        storage.validate()
-        return Tensor(self.expr.output_name, out_shape, storage)
-
-    # ---- sparse output ---------------------------------------------------------
-
-    def _run_sparse_output(self) -> Tensor:
-        out_shape = self.expr.output_shape
-        plan = self.sched.workspace
-        ws_vars = () if plan is None else plan.ws_indices
-        keys = tuple(v for v in self.out_chain if v in ws_vars)
-        outer_vars = tuple(v for v in self.out_chain if v not in ws_vars)
-        outer_steps = self.steps[: len(outer_vars)]
-        inner_steps = self.steps[len(outer_vars) :]
-        if outer_steps != tuple(LoopStep(v, "full") for v in outer_vars):
+        out_chain = tuple(self.out_vars[d] for d in self.out_fmt.mode_ordering)
+        ws_vars = () if sched.workspace is None else sched.workspace.ws_indices
+        self.ws_keys = tuple(v for v in out_chain if v in ws_vars)
+        self.regions = tuple(v for v in out_chain if v not in ws_vars)
+        if self.out_fmt.has_sparse_levels and self.steps[: len(self.regions)] != tuple(
+            LoopStep(v, "full") for v in self.regions
+        ):
             raise AssertionError("outer output loops must lead the nest untiled")
-        builder = _SparseOutputBuilder(out_shape, self.out_fmt, self.expr.output_name)
-        term_inner = [
-            [s for s in inner_steps if s.var in ts.vars or s.var in keys] for ts in self.terms
-        ]
+        self.tile_size = sched.tile_size
+        self.out_strides = list(zip(self.out_vars, _strides(self.out_fmt)))
+        self.terms = [_Term(self, term) for term in self.expr.terms()]
 
-        def outer(d: int, active: list[int]):
-            if d == len(outer_steps):
-                ws = Workspace()
-                for i in active:
-                    self._run_term(
-                        self.terms[i],
-                        term_inner[i],
-                        keys,
-                        lambda key, total: ws.accumulate(
-                            key, 0.0 if total is None else total, self.counter
-                        ),
-                    )
-                prefix = tuple(self.env[v] for v in outer_vars)
-                for key, val in ws.drain():
-                    builder.append(prefix + key, val)
-                return
-            step = outer_steps[d]
-            per_term = []
-            streams = []
-            full_range = False
-            for i in active:
-                ts = self.terms[i]
-                parts = ts.participants(step.var) if step.var in ts.vars else []
-                per_term.append((i, parts))
-                sparse_parts = [c for c in parts if c.next_is_sparse()]
-                if not sparse_parts:
-                    full_range = True
-                else:
-                    segs = [c.segment_coords() for c in sparse_parts]
-                    streams.append(_intersect_sorted(segs, self.counter))
-            if full_range:
-                coords = np.arange(self.extents[step.var], dtype=np.int64)
-                self.counter.iterator_advances += len(coords)
-            elif streams:
-                coords = _union_sorted(streams, self.counter)
+    # ---- arithmetic ------------------------------------------------------------
+
+    def _fold(self, carry, values: list, n: int):
+        """Left-to-right product of ``carry`` (None if empty) and ``values``."""
+        for v in values:
+            if carry is None:
+                carry = v
             else:
-                coords = np.zeros(0, dtype=np.int64)
-            for c in coords:
-                c = int(c)
-                self.env[step.var] = c
-                next_active = []
-                bound = []
-                for i, parts in per_term:
-                    if self._bind_parts(parts, c):
-                        next_active.append(i)
-                        bound.append(parts)
-                outer(d + 1, next_active)
-                for parts in reversed(bound):
-                    self._unbind_parts(parts)
+                carry = carry * v
+                self.counter.scalar_mults += n
+        return carry
 
-        outer(0, list(range(len(self.terms))))
-        return builder.finish()
+    def _product(self, accesses: list[Access], C: _Frontier, grouped: bool = False):
+        """``C``'s running product times ``accesses``, those first multiplied
+        together when ``grouped``."""
+        values = []
+        for a in accesses:
+            if id(a) in self.cursors:
+                values.append(self.cursors[id(a)].values[C.arrays["pos", id(a)]])
+            else:
+                stored, strides = self.dense[id(a)]
+                values.append(stored[_offsets(C, strides)])
+        if grouped and values:
+            values = [self._fold(None, values, C.n)]
+        return self._fold(C.carry, values, C.n)
+
+    # ---- one loop level ------------------------------------------------------------
+
+    def _span(self, lv: _Level, F: _Frontier) -> tuple[np.ndarray, np.ndarray]:
+        """Candidate count and first candidate of ``lv`` for every row of ``F``."""
+        if lv.kind == "block":
+            return np.full(F.n, -(-lv.extent // self.tile_size)), np.zeros(F.n, dtype=np.int64)
+        if lv.driver is not None:
+            cur, k = lv.driver
+            pos, p = self.cursors[cur].levels[k].pos, F.arrays["pos", cur]
+            return pos[p + 1] - pos[p], pos[p]
+        if lv.kind == "in_block":
+            lo = F.arrays["block", lv.var] * self.tile_size
+            return np.minimum(lo + self.tile_size, lv.extent) - lo, lo
+        return np.full(F.n, lv.extent), np.zeros(F.n, dtype=np.int64)
+
+    def _expand(self, lv: _Level, F: _Frontier, counts, firsts) -> tuple[np.ndarray, _Frontier]:
+        """The rows ``lv`` binds below ``F``, and the row of ``F`` each comes from."""
+        parent = np.repeat(np.arange(F.n), counts)
+        cand = np.arange(len(parent)) + np.repeat(firsts - (np.cumsum(counts) - counts), counts)
+        self.counter.iterator_advances += len(cand) * (1 + len(lv.probes))
+        C = F.take(parent, lv.keep)
+        if lv.kind == "block":
+            C.arrays["block", lv.var] = cand
+            return parent, C
+        coord = cand
+        if lv.driver is not None:
+            C.arrays["pos", lv.driver[0]] = cand
+            coord = self.cursors[lv.driver[0]].levels[lv.driver[1]].crd[cand]
+        C.arrays["coord", lv.var] = coord
+        for cur, k in lv.dense_parts:
+            C.arrays["pos", cur] = C.arrays["pos", cur] * self.cursors[cur].extents[k] + coord
+        if not lv.probes:
+            return parent, C
+        hit = np.ones(C.n, dtype=bool)
+        for cur, k in lv.probes:
+            key = self.cursors[cur].key(k)
+            target = C.arrays["pos", cur] * self.cursors[cur].extents[k] + coord
+            idx = np.searchsorted(key, target)
+            found = idx < len(key)
+            found[found] = key[idx[found]] == target[found]
+            hit &= found
+            C.arrays["pos", cur] = idx
+        rows = np.flatnonzero(hit)
+        return parent[rows], C.take(rows)
+
+    # ---- a term's nest -----------------------------------------------------------
+
+    def _walk(self, term: _Term, d: int, F: _Frontier) -> None:
+        """Bind the output-key loops from depth ``d`` down, then emit."""
+        if d > term.kd:
+            total = F.carry
+            if d < len(term.levels):  # the reduction zone starts its own products
+                sums = self._reduce(term, d, _Frontier(F.n, F.arrays))
+                total = self._fold(total, [sums], F.n)
+            self._emit(F, np.zeros(F.n) if total is None else total)
+            return
+        lv = term.levels[d]
+        counts, firsts = self._span(lv, F)
+        for a, b in _chunks(counts):
+            C = self._expand(lv, F.take(slice(a, b)), counts[a:b], firsts[a:b])[1]
+            tail = term.tail_product and d == len(term.levels) - 1
+            C.carry = self._product(lv.consumed, C, tail)
+            self._walk(term, d + 1, C)
+
+    def _reduce(self, term: _Term, d: int, F: _Frontier) -> np.ndarray:
+        """Per row of ``F``: its children's values at depth ``d``, summed from 0.0 in order."""
+        lv = term.levels[d]
+        counts, firsts = self._span(lv, F)
+        sums = np.zeros(F.n)
+        for a, b in _chunks(counts):
+            parent, C = self._expand(lv, F.take(slice(a, b)), counts[a:b], firsts[a:b])
+            value = self._product(lv.consumed, C)
+            if d + 1 < len(term.levels):
+                value = self._fold(value, [self._reduce(term, d + 1, C)], C.n)
+            self.counter.scalar_adds += C.n
+            sums[a:b] = np.bincount(parent, weights=value, minlength=b - a)
+        return sums
+
+    def _emit(self, F: _Frontier, total: np.ndarray) -> None:
+        if self.ws is not None:
+            regions, keys = (_columns(F, vs) for vs in (self.regions, self.ws_keys))
+            self.ws.accumulate(regions, keys, total, self.counter)
+            return
+        np.add.at(self.out_values, _offsets(F, self.out_strides), total)
+        self.counter.scalar_adds += F.n
 
     def run(self) -> tuple[Tensor, OpCounter]:
         if self.out_fmt.shape != self.expr.output_shape:
@@ -641,9 +444,25 @@ class _Execution:
                 f"output format shape {self.out_fmt.shape} != "
                 f"expression output {self.expr.output_shape}"
             )
-        if self.out_fmt.has_sparse_levels:
-            return self._run_sparse_output(), self.counter
-        return self._run_dense_output(), self.counter
+        out_shape = self.expr.output_shape
+        self.ws = Workspace(self.out_fmt.order) if self.out_fmt.has_sparse_levels else None
+        self.out_values = None if self.ws else np.zeros(int(np.prod(out_shape)), dtype=np.float64)
+        for term in self.terms:
+            root = _Frontier(1, {("pos", c): np.zeros(1, dtype=np.int64) for c in term.cursor_ids})
+            root.carry = self._product(term.pre, root)
+            self._walk(term, 0, root)
+
+        if self.ws is not None:
+            coords, sums = self.ws.drain()
+            result = _assemble_presorted(out_shape, self.out_fmt, coords, sums, self.expr.output_name)
+            return result, self.counter
+        storage = TensorStorage(
+            self.out_fmt,
+            tuple(DenseLevel(self.out_fmt.level_extent(k)) for k in range(self.out_fmt.order)),
+            _frozen(self.out_values),
+        )
+        storage.validate()
+        return Tensor(self.expr.output_name, out_shape, storage), self.counter
 
 
 def execute(

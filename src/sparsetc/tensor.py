@@ -85,10 +85,15 @@ class TensorStorage:
                     raise ValueError(f"level {k}: bad positions array")
                 if np.any(np.diff(pos) < 0):
                     raise ValueError(f"level {k}: positions must be monotone")
-                for p in range(n_positions):
-                    seg = crd[pos[p] : pos[p + 1]]
-                    if len(seg) and (np.any(np.diff(seg) <= 0) or seg[0] < 0 or seg[-1] >= extent):
-                        raise ValueError(f"level {k}: segment {p} not strictly increasing in range")
+                # Entry e is bad if out of range or not above its predecessor
+                # within the same segment.
+                bad = (crd < 0) | (crd >= extent)
+                starts = np.zeros(len(crd), dtype=bool)
+                starts[pos[:-1][pos[:-1] < len(crd)]] = True
+                bad[1:] |= (np.diff(crd) <= 0) & ~starts[1:]
+                if bad.any():
+                    p = int(np.searchsorted(pos, np.argmax(bad), side="right")) - 1
+                    raise ValueError(f"level {k}: segment {p} not strictly increasing in range")
                 n_positions = len(crd)
             else:  # coordinate
                 if not isinstance(data, CoordinateLevel):
@@ -175,45 +180,31 @@ def _assemble_presorted(
         storage.validate()
         return Tensor(name, tuple(shape), storage)
 
-    # Positional levels: walk top-down keeping entry segments per parent position.
-    segments = [(0, n)]
+    # Positional levels, top-down: ``parent`` is each entry's position at
+    # the level above, ``n_positions`` the number of positions there.
+    parent = np.zeros(n, dtype=np.int64)
+    n_positions = 1
     levels: list[LevelData] = []
     for k, kind in enumerate(fmt.levels):
         extent = fmt.level_extent(k)
-        col = perm_cols[:, k]
+        col = perm_cols[:, k].astype(np.int64)
         if kind is LevelFormat.DENSE:
-            new_segments = []
-            for lo, hi in segments:
-                bounds = np.searchsorted(col[lo:hi], np.arange(extent + 1)) + lo
-                new_segments.extend((bounds[c], bounds[c + 1]) for c in range(extent))
             levels.append(DenseLevel(extent))
-            segments = new_segments
-        else:  # compressed
-            pos = [0]
-            crd: list[int] = []
-            new_segments = []
-            for lo, hi in segments:
-                if hi > lo:
-                    uniq, starts = np.unique(col[lo:hi], return_index=True)
-                    starts = starts + lo
-                    ends = np.append(starts[1:], hi)
-                    crd.extend(int(c) for c in uniq)
-                    new_segments.extend(zip(starts, ends))
-                pos.append(len(crd))
-            levels.append(
-                CompressedLevel(
-                    _frozen(np.asarray(pos, dtype=np.int64)),
-                    _frozen(np.asarray(crd, dtype=np.int64)),
-                )
-            )
-            segments = new_segments
+            parent = parent * extent + col
+            n_positions *= extent
+        else:  # compressed: one position per distinct (parent, coordinate)
+            first = np.ones(n, dtype=bool)
+            first[1:] = (parent[1:] != parent[:-1]) | (col[1:] != col[:-1])
+            pos = np.zeros(n_positions + 1, dtype=np.int64)
+            np.cumsum(np.bincount(parent[first], minlength=n_positions), out=pos[1:])
+            levels.append(CompressedLevel(_frozen(pos), _frozen(col[first])))
+            parent = np.cumsum(first) - 1
+            n_positions = int(first.sum())
 
-    out_vals = np.zeros(len(segments), dtype=np.float64)
-    for i, (lo, hi) in enumerate(segments):
-        if hi - lo > 1:
-            raise AssertionError("duplicate coordinates survived deduplication")
-        if hi > lo:
-            out_vals[i] = vals[lo]
+    if np.any(parent[1:] == parent[:-1]):
+        raise AssertionError("duplicate coordinates survived deduplication")
+    out_vals = np.zeros(n_positions, dtype=np.float64)
+    out_vals[parent] = vals
     storage = TensorStorage(fmt, tuple(levels), _frozen(out_vals))
     storage.validate()
     return Tensor(name, tuple(shape), storage)

@@ -12,8 +12,9 @@ and an intra-block loop with boundary clamping.
 
 Splits of output-index loops hoist their block loop outermost; splits of
 reduction loops keep the block loop in place, directly above the intra
-loop, so every reduction still accumulates in ascending index order and
-tiled execution is bit-identical to untiled execution.
+loop, and the engine runs the pair as one ascending range, so every
+reduction accumulates in index order and tiled execution is bit-identical
+to untiled execution.
 """
 
 from __future__ import annotations

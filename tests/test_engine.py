@@ -1,10 +1,12 @@
 import collections
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import sparsetc as st
 from sparsetc import engine
+from sparsetc.cli import synthetic_entries
 from sparsetc.tensor import stored_entries
 
 from conftest import random_expression, random_tensor
@@ -99,14 +101,67 @@ def test_sddmm_fusion_bound(rng):
     assert c.scalar_mults <= st.nnz(A) * (k + 1) < 10 * 12 * k
 
 
+def test_counters_pinned():
+    # Literal (scalar_mults, scalar_adds) pinned from the earlier scalar
+    # engine, so the counters cannot drift; tiling must not move them either.
+    r = np.random.default_rng(2024)
+    b = {
+        "A": random_tensor(r, (12, 10), "csr", 0.3, "A"),
+        "x": st.from_dense(r.uniform(-1, 1, 10), name="x"),
+        "B": st.from_dense(r.uniform(-1, 1, (10, 5)), name="B"),
+        "P": st.from_dense(r.uniform(-1, 1, (12, 4)), name="P"),
+        "Q": st.from_dense(r.uniform(-1, 1, (4, 10)), name="Q"),
+        "S": random_tensor(r, (10, 9), "csr", 0.3, "S"),
+        "D": random_tensor(r, (9, 12), "dcsr", 0.3, "D"),
+    }
+    for t in range(7):
+        fmt = ("csr", "dcsr", "coo", "csc")[t % 4]
+        b[f"U{t}"] = random_tensor(r, (6, 6), fmt, 0.3, f"U{t}")
+    chain = " * ".join(f"U{t}({'abcdefgh'[t]},{'abcdefgh'[t + 1]})" for t in range(7))
+    pinned = [
+        ("y(i) = A(i,j) * x(j)", 36, 48),
+        ("C(i,k) = A(i,j) * B(j,k)", 180, 180),
+        ("D(i,j) = A(i,j) * P(i,k) * Q(k,j)", 180, 180),
+        ("C(i,k) = A(i,j) * S(j,k)", 94, 94),
+        ("E(i,k) = D(k,i) + A(i,j) * S(j,k)", 94, 126),
+        (f"Z(a,h) = {chain}", 1045, 451),
+    ]
+    for text, mults, adds in pinned:
+        e = st.parse(text, b)
+        s = st.schedule(e)
+        for plan in (s, st.tile(e, s, 3)):
+            _, c = st.execute(plan)
+            assert (c.scalar_mults, c.scalar_adds) == (mults, adds), text
+
+
+def test_execute_memory_is_bounded():
+    # SpMM at the ROADMAP baseline sizes makes 1.28M products. One unchunked
+    # frontier would take about 20 MB; chunks keep execute far below that.
+    n, k = 2048, 32
+    rng = np.random.default_rng(3)
+    A = st.build_from_entries((n, n), st.csr(n, n), synthetic_entries(n, n, 40_000, rng), name="A")
+    B = st.from_dense(rng.uniform(-1, 1, (n, k)), name="B")
+    e = st.parse("C(i,k) = A(i,j) * B(j,k)", {"A": A, "B": B})
+    s = st.tile(e, st.schedule(e), 64)
+    tracemalloc.start()
+    try:
+        _, c = st.execute(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c.scalar_mults == 40_000 * k
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 def test_workspace_drains_sorted_and_appends_in_order():
-    ws = st.Workspace()
+    ws = st.Workspace(1)
     counter = st.OpCounter()
-    for key, v in [((3,), 1.0), ((1,), 2.0), ((1,), 0.5), ((2,), -1.0)]:
-        ws.accumulate(key, v, counter)
-    drained = list(ws.drain())
-    assert [k for k, _ in drained] == [(1,), (2,), (3,)]
-    assert drained[0][1] == 2.5
+    no_region = np.zeros((2, 0), dtype=np.int64)
+    ws.accumulate(no_region, np.array([[3], [1]]), np.array([1.0, 2.0]), counter)
+    ws.accumulate(no_region, np.array([[1], [2]]), np.array([0.5, -1.0]), counter)
+    keys, sums = ws.drain()
+    assert keys.tolist() == [[1], [2], [3]]
+    assert sums[0] == 2.5
     assert counter.scalar_adds == 4
 
 

@@ -106,6 +106,39 @@ def test_neutrality_on_random_instances(tile_size):
         )
 
 
+def test_tiled_reduction_below_output_loops_is_bit_identical():
+    # The sampled product's k loop sums below the output loops; a split k
+    # must still add in one ascending run, not as per-block partial sums.
+    for seed in range(20):
+        r = np.random.default_rng(seed)
+        A = random_tensor(r, (30, 30), "csr", 60 / 900, "A")
+        B = st.from_dense(r.uniform(-1, 1, (30, 16)), name="B")
+        C = st.from_dense(r.uniform(-1, 1, (16, 30)), name="C")
+        e = st.parse("D(i,j) = A(i,j) * B(i,k) * C(k,j)", {"A": A, "B": B, "C": C})
+        s = st.schedule(e)
+        tiled = st.tile(e, s, 3)
+        assert [v.name for v in tiled.tiles] == ["k"]
+        t0, c0 = st.execute(s)
+        t1, c1 = st.execute(tiled)
+        assert np.array_equal(st.to_dense(t0), st.to_dense(t1)), f"seed {seed}"
+        assert (c0.scalar_mults, c0.scalar_adds) == (c1.scalar_mults, c1.scalar_adds)
+
+
+def test_term_of_only_a_tiled_output_loop():
+    # The x(i) term runs just the hoisted block loop of i and its intra loop.
+    r = np.random.default_rng(6)
+    x = st.from_dense(r.integers(-3, 4, 9).astype(float), name="x")
+    s_ = random_tensor(r, (5,), "compressed", 0.6, "s", integer=True)
+    w = st.from_dense(r.integers(-3, 4, 5).astype(float), name="w")
+    e = st.parse("y(i) = x(i) + s(j) * w(j)", {"x": x, "s": s_, "w": w})
+    s = st.schedule(e)
+    tiled = st.tile(e, s, 2)
+    assert [v.name for v in tiled.tiles] == ["i"]
+    t, _ = st.execute(tiled)
+    assert np.array_equal(st.to_dense(t), st.eval_dense(e))
+    assert np.array_equal(st.to_dense(t), st.to_dense(st.execute(s)[0]))
+
+
 def test_counters_unchanged_by_tiling_for_spmm():
     r = np.random.default_rng(5)
     A = random_tensor(r, (8, 8), "csr", 0.4, "A")
@@ -142,9 +175,9 @@ def test_sparse_output_loops_are_not_tiled(monkeypatch, text, fmts, workspace_di
     key_widths = set()
 
     class RecordingWorkspace(engine.Workspace):
-        def accumulate(self, key, value, counter):
-            key_widths.add(len(key))
-            super().accumulate(key, value, counter)
+        def accumulate(self, regions, keys, values, counter):
+            key_widths.add(keys.shape[1])
+            super().accumulate(regions, keys, values, counter)
 
     monkeypatch.setattr(engine, "Workspace", RecordingWorkspace)
     t, _ = st.execute(tiled)
